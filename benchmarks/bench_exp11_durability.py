@@ -29,8 +29,7 @@ import pytest
 
 from repro import Database, is_boundedly_evaluable
 from repro.engine import optimize
-from repro.engine.executor import (AccessStats, Executor,
-                                   LegacyTupleExecutor)
+from repro.engine.executor import AccessStats, Executor
 from repro.obs import MetricsRegistry, attach_storage_collector
 from repro.query import parse_query
 from repro.storage.disk import DiskBackend, disk_backend_factory
@@ -53,20 +52,34 @@ def log():
     experiment.flush()
 
 
-class RecordingExecutor(LegacyTupleExecutor):
-    """Harvests the (constraint, x-value batch) pairs a plan issues so
-    the overhead comparison replays *real* traffic (as in EXP-10).
-    Based on the tuple executor because the columnar ``execute`` never
-    crosses the ``_fetch_flat`` hook; the batches are the same either
-    way (the accounting identity EXP-9 enforces)."""
+class RecordingExecutor(Executor):
+    """Harvests the (constraint, code-key batch) pairs a plan issues at
+    the encoded boundary, so the overhead comparison replays *real*
+    traffic (as in EXP-10)."""
 
     def __init__(self, db):
         super().__init__(db)
-        self.batches: list[tuple[object, list[tuple]]] = []
+        self.batches: list[tuple[object, list]] = []
 
-    def _fetch_flat(self, constraint, x_values, stats):
-        self.batches.append((constraint, list(x_values)))
-        return super()._fetch_flat(constraint, x_values, stats)
+    def _fetch_flat_encoded(self, constraint, keys, stats):
+        self.batches.append((constraint, list(keys)))
+        return super()._fetch_flat_encoded(constraint, keys, stats)
+
+
+def rekeyed(batches, source: Database, target: Database):
+    """Code-key batches recorded against ``source``'s dictionary,
+    re-keyed into ``target``'s (each engine interns on its own)."""
+    decode = source.dictionary.decode
+    encode = target.dictionary.encode
+    out = []
+    for constraint, keys in batches:
+        if len(constraint.x) == 1:
+            keys = [encode(decode(key)) for key in keys]
+        else:
+            keys = [tuple(encode(decode(code)) for code in key)
+                    for key in keys]
+        out.append((constraint, keys))
+    return out
 
 
 def accident_queries(db):
@@ -102,9 +115,12 @@ def run_all(executor, plans):
 
 
 def replay(executor, batches):
+    """The batches through the executor's encoded boundary, decoded to
+    one row set per batch for comparison."""
     stats = AccessStats()
-    rows = [executor._fetch_flat(constraint, x_values, stats)
-            for constraint, x_values in batches]
+    decode = executor.db.dictionary.decode_rows
+    rows = [decode(*executor._fetch_flat_encoded(constraint, keys, stats))
+            for constraint, keys in batches]
     return rows, stats
 
 
@@ -209,12 +225,13 @@ def test_cold_open_and_fetch_overhead_report(setup, log):
     for _, plan in plans:
         recorder.execute(plan)
     batches = recorder.batches
+    disk_batches = rekeyed(batches, memory_db, recovered)
     memory_s, (memory_rows, _) = timed(
         lambda: replay(Executor(memory_db), batches), repeat=FETCH_REPEAT)
     disk_s, (disk_rows, _) = timed(
-        lambda: replay(Executor(recovered), batches), repeat=FETCH_REPEAT)
-    assert [frozenset(batch) for batch in disk_rows] == \
-        [frozenset(batch) for batch in memory_rows]
+        lambda: replay(Executor(recovered), disk_batches),
+        repeat=FETCH_REPEAT)
+    assert disk_rows == memory_rows
     overhead = disk_s / max(memory_s, 1e-9)
 
     log.row("")

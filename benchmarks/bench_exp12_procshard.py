@@ -13,9 +13,10 @@ column, not a pickled value tuple.  Claims checked:
   ``MemoryBackend`` per-x-value boundary** producing the same
   deliverable — one ``db.fetch`` call per X-value plus the
   encode-and-transpose into the flat code columns the columnar
-  executor consumes (the baseline EXP-10's encoded gate replays),
-  now held across a process hop (hard ``min_value`` trajectory
-  gate); the raw tuple-fetch ratio rides along warn-only;
+  executor consumes, now held across a process hop (hard
+  ``min_value`` trajectory gate); the raw tuple-fetch ratio and the
+  ratio over the per-key encoded loop (EXP-10's baseline) ride along
+  warn-only;
 * the IPC toll is reported honestly: procshard vs the same encoded
   replay on an in-process ``MemoryBackend``
   (``procshard_ipc_overhead_ratio``, warn-only wall-clock — on one
@@ -48,6 +49,7 @@ from repro.query import parse_query
 from repro.schema.access import AccessConstraint, AccessSchema
 from repro.schema.relation import Schema
 from repro.storage.database import Database
+from repro.storage.encoding import int_column
 from repro.storage.procshard import ProcessShardedBackend
 from repro.storage.statistics import TableStatistics
 
@@ -76,9 +78,9 @@ def log():
 
 
 class PerValueExecutor(LegacyTupleExecutor):
-    """The PR 2 stack, preserved as the baseline: one ``db.fetch``
-    round-trip (and its accounting) per distinct X-value, on the tuple
-    executor — same baseline EXP-10 replays."""
+    """The per-value stack, preserved as the end-to-end baseline: one
+    decoded ``db.fetch`` round-trip (and its accounting) per distinct
+    X-value, on the tuple executor — same baseline EXP-10 runs."""
 
     def _fetch_flat(self, constraint, x_values, stats):
         out_rows = []
@@ -102,11 +104,10 @@ def build_schema():
 
 def synthetic_rows(n_keys: int, group_size: int) -> list[tuple]:
     """``n_keys`` X-groups of ``group_size`` distinct rows.  Values are
-    strings, as in the paper's real datasets (dates, ids, names): the
-    value-space baseline pays string hashing and comparison per
-    lookup, while the encoded paths ship nothing but int codes — the
-    dictionary trade this whole repo is built on.  B and C reuse
-    values across groups so the code space stays small and shared."""
+    strings, as in the paper's real datasets (dates, ids, names), yet
+    every boundary path ships nothing but int codes — the dictionary
+    trade this whole repo is built on.  B and C reuse values across
+    groups so the code space stays small and shared."""
     return [(f"k{key}", f"b{(key * 31 + j) % 50_000}", f"c{j}")
             for key in range(n_keys) for j in range(group_size)]
 
@@ -149,6 +150,23 @@ def replay_per_value_columns(executor, batches):
         rows = executor._fetch_flat(constraint, x_values, stats)
         coded = list(map(encode_row, rows))
         out.append((list(zip(*coded)), len(coded)))
+    return out, stats
+
+
+def replay_per_key(executor, coded_batches):
+    """One ``fetch_flat_encoded`` call per X-key, concatenated into the
+    flat code columns the columnar executor consumes — the per-key
+    encoded boundary EXP-10's gate replays."""
+    stats = AccessStats()
+    out = []
+    for constraint, keys in coded_batches:
+        cols = [int_column()
+                for _ in range(len(constraint.x) + len(constraint.y))]
+        for key in keys:
+            part, _ = executor._fetch_flat_encoded(constraint, [key], stats)
+            for column, codes in zip(cols, part):
+                column.extend(codes)
+        out.append((cols, len(cols[0])))
     return out, stats
 
 
@@ -217,6 +235,9 @@ def run_boundary(db, proc, batches, log, failures):
     columns_s, (columns_out, columns_stats) = timed(
         lambda: replay_per_value_columns(per_value_executor, batches),
         repeat=BOUNDARY_REPEAT)
+    per_key_s, (per_key_out, per_key_stats) = timed(
+        lambda: replay_per_key(memory_executor, coded_mem),
+        repeat=BOUNDARY_REPEAT)
     encoded_s, (encoded_out, encoded_stats) = timed(
         lambda: replay_encoded(memory_executor, coded_mem),
         repeat=BOUNDARY_REPEAT)
@@ -230,6 +251,7 @@ def run_boundary(db, proc, batches, log, failures):
     reference = [sorted(batch) for batch in per_value_out]
     for path_name, decoded in (
             ("memory/per-value+encode", decoded_multisets(db, columns_out)),
+            ("memory/per-key", decoded_multisets(db, per_key_out)),
             ("memory/encoded", decoded_multisets(db, encoded_out)),
             (f"procshard[{WORKERS}]/encoded",
              decoded_multisets(proc, proc_out))):
@@ -237,6 +259,7 @@ def run_boundary(db, proc, batches, log, failures):
             failures.append(f"{path_name}: fetched rows differ")
     for path_name, stats in (
             ("memory/per-value+encode", columns_stats),
+            ("memory/per-key", per_key_stats),
             ("memory/encoded", encoded_stats),
             (f"procshard[{WORKERS}]/encoded", proc_stats)):
         if (stats.index_lookups != per_value_stats.index_lookups
@@ -249,12 +272,15 @@ def run_boundary(db, proc, batches, log, failures):
 
     x_total = sum(len(x_values) for _, x_values in batches)
     tuples = per_value_stats.tuples_fetched
-    # The gated claim is deliverable-matched: since PR 7 the executor
-    # consumes flat code columns, so the single-process per-value
-    # boundary must encode and transpose what it fetched before a plan
-    # can run on it — the exact baseline EXP-10's encoded gate uses.
+    # The gated claim is deliverable-matched: the executor consumes
+    # flat code columns, so the single-process per-value boundary must
+    # encode and transpose what it fetched before a plan can run on
+    # it.  The per-key encoded loop (EXP-10's baseline) is the lean
+    # single-process alternative; procshard's margin over it is
+    # reported, not gated — on a 2-core host it hovers around 2x.
     speedup = columns_s / max(proc_s, 1e-9)
     tuple_ratio = per_value_s / max(proc_s, 1e-9)
+    per_key_ratio = per_key_s / max(proc_s, 1e-9)
     ipc_ratio = proc_s / max(encoded_s, 1e-9)
     log.row("")
     log.row(f"-- boundary: {len(batches)} fetch batches, {x_total} "
@@ -268,19 +294,24 @@ def run_boundary(db, proc, batches, log, failures):
          ["memory/per-value + encode, columns out",
           f"{columns_s * 1e3:.2f}ms",
           f"{int(tuples / max(columns_s, 1e-9)):,}"],
+         ["memory/per-key encoded", f"{per_key_s * 1e3:.2f}ms",
+          f"{int(tuples / max(per_key_s, 1e-9)):,}"],
          ["memory/encoded", f"{encoded_s * 1e3:.2f}ms",
           f"{int(tuples / max(encoded_s, 1e-9)):,}"],
          [f"procshard[{WORKERS}]/encoded", f"{proc_s * 1e3:.2f}ms",
           f"{int(tuples / max(proc_s, 1e-9)):,}"]])
     log.row(f"procshard vs per-value columns boundary: {speedup:.1f}x "
-            f"(vs raw tuple fetch: {tuple_ratio:.1f}x); IPC toll vs "
+            f"(vs raw tuple fetch: {tuple_ratio:.1f}x, vs per-key "
+            f"encoded: {per_key_ratio:.1f}x); IPC toll vs "
             f"in-process encoded: {ipc_ratio:.1f}x "
             "(one hop, one box — the hop can only cost here)")
     log.metric("procshard_boundary_speedup", round(speedup, 2))
     log.metric("procshard_vs_tuple_fetch_ratio", round(tuple_ratio, 2))
+    log.metric("procshard_vs_per_key_ratio", round(per_key_ratio, 2))
     log.metric("procshard_ipc_overhead_ratio", round(ipc_ratio, 2))
     log.metric("per_value_boundary_ms", round(per_value_s * 1e3, 3))
     log.metric("per_value_columns_boundary_ms", round(columns_s * 1e3, 3))
+    log.metric("per_key_boundary_ms", round(per_key_s * 1e3, 3))
     log.metric("memory_encoded_boundary_ms", round(encoded_s * 1e3, 3))
     log.metric("procshard_boundary_ms", round(proc_s * 1e3, 3))
     log.metric("boundary_x_keys", x_total)
@@ -345,7 +376,7 @@ def run_end_to_end(db, proc, plans, log, failures):
     log.row(f"-- end-to-end: {len(plans)} point queries on |R| = "
             f"{db.size()} (median of {E2E_REPEAT}) --")
     log.table(["config", "time", "index lookups", "tuples fetched"], rows)
-    log.row(f"procshard end-to-end vs PR 2 stack: {speedup:.2f}x "
+    log.row(f"procshard end-to-end vs per-value stack: {speedup:.2f}x "
             "(point fetches — the boundary, not the joins, is the hop)")
     log.metric("end_to_end_procshard_vs_per_value_ratio",
                round(speedup, 2))
@@ -423,9 +454,10 @@ def test_identical_rows_and_accounting_on_every_path(measured):
 
 
 def test_procshard_boundary_speedup(measured):
-    """The encoded RPC boundary must beat the PR 2 per-x-value boundary
-    by >= 2x at 1M+ rows — also enforced as a min_value trajectory
-    gate on BENCH_exp-12.json."""
+    """The encoded RPC boundary must beat the single-process
+    per-x-value boundary (columns deliverable) by >= 2x at 1M+ rows —
+    also enforced as a min_value trajectory gate on
+    BENCH_exp-12.json."""
     assert measured["speedup"] >= MIN_PROCSHARD_SPEEDUP, \
         f"procshard boundary: only {measured['speedup']:.1f}x"
 
@@ -463,7 +495,7 @@ def test_procshard_replica_smoke(tmp_path):
             if fresh_rows is not None:
                 db.insert_many("R", fresh_rows)
                 oracle.insert_many("R", fresh_rows)
-            expected = sorted(oracle.backend.fetch_flat(constraint, keys))
+            expected = sorted(oracle.fetch_flat(constraint, keys))
             # One fetch per round-robin slot (writer + workers, replica).
             for _ in range(1 + backend.workers + backend.replicas):
                 coded = [db.dictionary.encode(key[0]) for key in keys]

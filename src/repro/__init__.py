@@ -17,8 +17,7 @@ from .schema import (AccessConstraint, AccessSchema, CardinalityFunction,
                      RelationSchema, Schema)
 from .query import (CQ, UCQ, Atom, Const, Equality, FOQuery, PositiveQuery,
                     Var, parse_cq, parse_query, parse_ucq)
-from .storage import (Database, MemoryBackend, ShardedBackend,
-                      StorageBackend, make_backend)
+from .storage import Database, MemoryBackend, StorageBackend, make_backend
 from .engine import (Plan, PhysicalPlan, build_bounded_plan,
                      build_union_plan, evaluate, execute_plan,
                      interpret_logical, optimize, static_bounds)
@@ -47,10 +46,10 @@ __all__ = [
     "Var", "Const", "Atom", "Equality", "CQ", "UCQ", "PositiveQuery",
     "FOQuery", "parse_cq", "parse_ucq", "parse_query",
     # storage / engine
-    "Database", "StorageBackend", "MemoryBackend", "ShardedBackend",
-    "make_backend", "Plan", "PhysicalPlan", "build_bounded_plan",
-    "build_union_plan", "optimize", "execute_plan", "interpret_logical",
-    "evaluate", "static_bounds",
+    "Database", "StorageBackend", "MemoryBackend", "make_backend",
+    "Plan", "PhysicalPlan", "build_bounded_plan", "build_union_plan",
+    "optimize", "execute_plan", "interpret_logical", "evaluate",
+    "static_bounds",
     # core analyses
     "analyze_coverage", "is_covered", "is_boundedly_evaluable",
     "a_satisfiable", "a_contained", "a_equivalent",

@@ -22,9 +22,9 @@ Code-distinctness equals value-distinctness (the dictionary is a
 bijection), so per-distinct-X lookup counts are identical too.
 
 :class:`LegacyTupleExecutor` keeps the previous value-tuple batch
-implementation on the unencoded ``fetch_flat`` surface — benchmarks
-use it as the columnar path's wall-clock baseline, and recording
-harnesses that interpose on ``_fetch_flat`` subclass it.
+implementation, reading through the database's decoded ``fetch_flat``
+view — property tests compare the columnar path against it, and
+benchmarks use it as a wall-clock baseline.
 :func:`interpret_logical` keeps the direct tuple-at-a-time
 interpretation of the logical IR (no optimizer, no fusion) as the
 reference semantics — property tests and the EXP-9 benchmark compare
@@ -203,28 +203,14 @@ class Executor:
 
     # -- the storage boundary -------------------------------------------------
 
-    def _fetch_flat(self, constraint, x_values: Sequence[tuple],
-                    stats: AccessStats) -> list[tuple]:
-        """One batched trip to storage in the *value* domain: every row
-        for the batch of distinct X-values, in one unordered list.
-        Accounting is unchanged from the per-value days: one index
-        lookup per distinct X-value, every returned tuple counted.
-        Subclasses may interpose a per-X cache here (see
-        ``repro.service.fetchcache.CachingExecutor``)."""
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("fetch_flat")
-        rows = self.db.fetch_flat(constraint, x_values)
-        stats.index_lookups += len(x_values)
-        stats.tuples_fetched += len(rows)
-        return rows
-
     def _fetch_flat_encoded(self, constraint, keys: Sequence,
                             stats: AccessStats):
-        """The encoded twin of :meth:`_fetch_flat`: code keys in,
-        concatenated ``(code columns, length)`` out.  Identical
-        accounting — the dictionary is a bijection, so the batch of
-        distinct codes is exactly the batch of distinct X-values.
+        """One batched trip to storage: code keys in, concatenated
+        ``(code columns, length)`` out.  One index lookup per distinct
+        key, every returned tuple counted — the dictionary is a
+        bijection, so the batch of distinct codes is exactly the batch
+        of distinct X-values.  Subclasses may interpose a per-key cache
+        here (see ``repro.service.fetchcache.CachingExecutor``).
 
         This call is also the process-sharding RPC surface: under a
         :class:`~repro.storage.procshard.ProcessShardedBackend` the key
@@ -246,11 +232,11 @@ class Executor:
 class LegacyTupleExecutor(Executor):
     """The pre-columnar batch executor: value tuples end to end.
 
-    Kept as the wall-clock baseline the columnar path is benchmarked
-    against (EXP-9/EXP-10) and as the harness base class for recorders
-    that interpose on the unencoded ``_fetch_flat`` boundary.  Answers
-    and :class:`AccessStats` are identical to the columnar path's by
-    construction — property tests enforce it.
+    Kept as the reference the columnar path is compared against: the
+    property tests require identical answers and identical
+    :class:`AccessStats`, and EXP-9/EXP-10 use it as a wall-clock
+    baseline.  It reads through the decoded
+    :meth:`~repro.storage.database.Database.fetch_flat` view.
     """
 
     def execute(self, plan) -> ExecutionResult:
@@ -269,6 +255,19 @@ class LegacyTupleExecutor(Executor):
                 batches.append(batch)
         final = batches[-1]
         return ExecutionResult(Table(final.columns, final.rows()), stats)
+
+    def _fetch_flat(self, constraint, x_values: Sequence[tuple],
+                    stats: AccessStats) -> list[tuple]:
+        """One batched trip to storage in the *value* domain: every row
+        for the batch of distinct X-values, in one unordered list, with
+        the same accounting as :meth:`Executor._fetch_flat_encoded`."""
+        deadline = current_deadline()
+        if deadline is not None:
+            deadline.check("fetch_flat")
+        rows = self.db.fetch_flat(constraint, x_values)
+        stats.index_lookups += len(x_values)
+        stats.tuples_fetched += len(rows)
+        return rows
 
     # -- op dispatch ----------------------------------------------------------
 

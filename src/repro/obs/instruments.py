@@ -107,15 +107,6 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
     plan = _cache_instruments(registry, "plan")
     fetch = _cache_instruments(registry, "fetch")
     answer = _cache_instruments(registry, "answer")
-    # Fetch-cache hits split by entry family: encoded column views
-    # (the columnar path, no re-encoding on a warm hit) vs legacy row
-    # lists — the ratio shows how much traffic runs columnar.
-    encoded_hits = registry.counter(
-        "repro_fetch_cache_encoded_hits_total",
-        "fetch cache hits served as encoded column views")
-    legacy_hits = registry.counter(
-        "repro_fetch_cache_legacy_hits_total",
-        "fetch cache hits served as decoded row lists")
     # Incremental-maintenance outcomes: deltas applied in place vs
     # deltas that fell back to invalidation.  A healthy write-heavy
     # workload shows maintained ≫ fallbacks; fallbacks climbing means
@@ -150,8 +141,6 @@ def attach_cache_collector(registry: MetricsRegistry, service) -> None:
             size.set(info.size)
             rate.set(round(info.hit_rate, 6))
         fetch_cache = service.fetch_cache
-        encoded_hits.set_total(getattr(fetch_cache, "encoded_hits", 0))
-        legacy_hits.set_total(getattr(fetch_cache, "legacy_hits", 0))
         maintained_deltas.set_total(
             getattr(fetch_cache, "maintained_deltas", 0))
         maintained_entries.set_total(

@@ -1,12 +1,13 @@
-"""A bounded LRU over ``Database.fetch`` results, maintained under
-writes.
+"""A bounded LRU over encoded fetch results, maintained under writes.
 
-``fetch(constraint, x_value)`` is the only primitive through which
+``fetch(constraint, x_key)`` is the only primitive through which
 bounded plans touch data, and an access constraint ``R(X → Y, N)``
 certifies that any one result holds at most ``N`` distinct tuples — so
 a cache of ``capacity`` entries occupies at most ``capacity · N_max``
 tuples.  Memory is certifiably bounded by the same reasoning the plans
-themselves enjoy.
+themselves enjoy.  Entries hold what the columnar executor consumes —
+dictionary-code columns keyed by code keys — so a warm hit never
+re-encodes or materializes a row.
 
 Freshness comes in two flavours (the full soundness argument lives in
 ``docs/ARCHITECTURE.md``):
@@ -53,13 +54,6 @@ from ..storage.encoding import extend_column, int_column, readonly_view
 from .lru import LruDict
 from .plancache import CacheInfo
 
-#: Key marker for maintained *encoded* entries: ``(constraint, code
-#: key, _ENCODED)``.  A unique object, so the key can never collide
-#: with a generation-keyed 3-tuple ``(constraint, x_value, int)`` even
-#: when a code tuple equals a value tuple under ``==``.
-_ENCODED = object()
-
-
 def _encoded_plus(entry, row_codes):
     """``entry`` with one code row appended, or None if it is already
     present (idempotent, copy-on-write: readers keep their views)."""
@@ -98,22 +92,18 @@ def _encoded_minus(entry, row_codes):
 
 
 class FetchCache:
-    """Thread-safe LRU over per-X-value fetch results.
+    """Thread-safe LRU over per-X-key fetch results.
 
-    Four key shapes share the LRU and can never collide:
+    Every entry is ``(readonly column views, length)`` for one code
+    key, under one of two key shapes that can never collide:
 
-    * maintained legacy — ``(constraint, x_value)`` → row-tuple list;
-    * maintained encoded — ``(constraint, code key, _ENCODED)`` →
-      ``(readonly column views, length)``;
-    * generation-keyed legacy — ``(constraint, x_value, generation)``;
-    * generation-keyed encoded — ``(constraint, code key, generation,
-      0)``.
+    * maintained — ``(constraint, code key)``;
+    * generation-keyed — ``(constraint, code key, generation)``.
 
-    Encoded entries are what the columnar executor consumes: a warm hit
-    hands back zero-copy views that flow straight into a batch — no
-    re-encoding, no row materialization.  Maintenance rebuilds an
-    entry's arrays copy-on-write, so views already handed out stay
-    frozen at the content they were served with.
+    A warm hit hands back zero-copy views that flow straight into a
+    batch.  Maintenance rebuilds an entry's arrays copy-on-write, so
+    views already handed out stay frozen at the content they were
+    served with.
 
     >>> cache = FetchCache(capacity=128)
     >>> cache.info().size
@@ -128,10 +118,6 @@ class FetchCache:
         #: Largest cached entry seen, for the memory-bound report
         #: (advisory: updated without a lock).
         self.max_entry_rows = 0
-        #: Hits served as encoded column views vs decoded row lists
-        #: (advisory counters; the obs layer exports both).
-        self.encoded_hits = 0
-        self.legacy_hits = 0
         # -- incremental maintenance state ---------------------------------
         # Serializes delta application, epoch reads/writes and the
         # store-a-fill decision.  Never held while calling into the
@@ -193,7 +179,7 @@ class FetchCache:
 
     @staticmethod
     def _is_maintained_key(key) -> bool:
-        return len(key) == 2 or key[2] is _ENCODED
+        return len(key) == 2
 
     def _maintainable(self, constraint: AccessConstraint) -> bool:
         """Can this constraint's entries be maintained by deltas?
@@ -225,11 +211,8 @@ class FetchCache:
 
     def lookup(self, db: Database, constraint: AccessConstraint,
                x_value: tuple) -> tuple[list[tuple], bool]:
-        """Return ``(rows, hit)`` for one index lookup.
-
-        A miss reads through the database and populates the cache;
-        entries can never serve rows staler than the write epoch the
-        lookup observed.
+        """Return ``(rows, hit)`` for one X-value — the decoded view of
+        :meth:`lookup_many_encoded` (see :meth:`lookup_many`).
 
         >>> from repro import (AccessConstraint, AccessSchema, Database,
         ...                    Schema)
@@ -255,145 +238,65 @@ class FetchCache:
     def lookup_many(self, db: Database, constraint: AccessConstraint,
                     x_values: Sequence[tuple]
                     ) -> tuple[list[list[tuple]], list[bool]]:
-        """Batched :meth:`lookup`: split a whole batch into hits and
-        misses in a single lock pass, then fetch *only* the misses in
-        one ``fetch_many`` trip to storage.
+        """:meth:`lookup_many_encoded` over X-value tuples: the values
+        are encoded (interned on first sight, as the columnar executor
+        interns a query's constants) and each entry is decoded back to
+        a row list.  Both returned lists align with ``x_values``."""
+        encode = db.dictionary.encode
+        if len(constraint.x) == 1:
+            keys = [encode(x_value[0]) for x_value in x_values]
+        else:
+            keys = [tuple(encode(value) for value in x_value)
+                    for x_value in x_values]
+        entries, hits = self.lookup_many_encoded(db, constraint, keys)
+        decode = db.dictionary.decode_columns
+        return [decode(cols, length) for cols, length in entries], hits
 
-        Both returned lists align with ``x_values``.  The generation is
-        read once for the batch: a write racing the batch at worst
-        caches fresher rows under the older epoch (benign — delta
-        application is idempotent and converges the entry), never stale
-        rows under a newer one, because generations bump only after the
-        backend's index updates.
+    def lookup_many_encoded(self, db: Database,
+                            constraint: AccessConstraint, keys: Sequence
+                            ) -> tuple[list, list[bool]]:
+        """Return ``(entries, hits)`` for a batch of code keys, both
+        aligned with ``keys``: split the batch into hits and misses in
+        a single lock pass, then fetch *only* the misses in one
+        ``fetch_many_encoded`` trip to storage.
+
+        Each entry is ``(column views, length)``.  Cached columns are
+        readonly memoryviews over arrays built once at miss time —
+        warm hits share them by reference, and all bookkeeping (entry
+        sizing included) runs on code columns and plain lengths; no
+        decoded row is ever materialized here.
+
+        The generation is read once for the batch: a write racing the
+        batch at worst caches fresher rows under the older epoch
+        (benign — delta application is idempotent and converges the
+        entry), never stale rows under a newer one, because
+        generations bump only after the backend's index updates.
         """
-        generation = db.generation(constraint.relation_name)
-        if self._maintainable(constraint):
-            return self._lookup_many_maintained(db, constraint, x_values,
-                                                generation)
-        keys = [(constraint, x_value, generation) for x_value in x_values]
-        cached = self._entries.get_many(keys)
-        rows_per_x: list = list(cached)
-        hits = [value is not None for value in cached]
-        miss_positions = [i for i, value in enumerate(cached)
-                          if value is None]
-        self.legacy_hits += len(x_values) - len(miss_positions)
-        if miss_positions:
-            fetched = db.fetch_many(
-                constraint, [x_values[i] for i in miss_positions])
-            largest = self.max_entry_rows
-            for position, rows in zip(miss_positions, fetched):
-                rows_per_x[position] = rows
-                if len(rows) > largest:
-                    largest = len(rows)
-            self.max_entry_rows = largest
-            self._entries.put_many(
-                (keys[i], rows)
-                for i, rows in zip(miss_positions, fetched))
-        return rows_per_x, hits
-
-    def _lookup_many_maintained(self, db: Database,
-                                constraint: AccessConstraint,
-                                x_values: Sequence[tuple],
-                                generation: int):
-        """The maintained-family twin of :meth:`lookup_many`."""
         relation = constraint.relation_name
-        backend = self._backend
-        schema = backend.access_schema if backend is not None else None
-        with self._maintenance_lock:
-            live = self._epochs.get(relation) == generation
-        keys = [(constraint, x_value) for x_value in x_values]
+        generation = db.generation(relation)
+        maintained = self._maintainable(constraint)
+        if maintained:
+            backend = self._backend
+            schema = backend.access_schema if backend is not None else None
+            with self._maintenance_lock:
+                live = self._epochs.get(relation) == generation
+            cache_keys = [(constraint, key) for key in keys]
+        else:
+            live = True
+            cache_keys = [(constraint, key, generation) for key in keys]
         if live:
-            cached = self._entries.get_many(keys)
+            cached = self._entries.get_many(cache_keys)
         else:
             # The epoch lags (a delta is in flight) or leads (entries
             # were purged): treat the whole batch as misses, but never
             # purge here — an in-flight delta may be about to repair
             # the entries.
-            cached = [None] * len(keys)
-            self._entries.record_misses(len(keys))
-        rows_per_x: list = list(cached)
-        hits = [value is not None for value in cached]
-        miss_positions = [i for i, value in enumerate(cached)
-                          if value is None]
-        self.legacy_hits += len(x_values) - len(miss_positions)
-        if miss_positions:
-            fetched = db.fetch_many(
-                constraint, [x_values[i] for i in miss_positions])
-            largest = self.max_entry_rows
-            for position, rows in zip(miss_positions, fetched):
-                rows_per_x[position] = rows
-                if len(rows) > largest:
-                    largest = len(rows)
-            self.max_entry_rows = largest
-            self._store_maintained(
-                relation, generation, schema,
-                [(keys[i], rows)
-                 for i, rows in zip(miss_positions, fetched)])
-        return rows_per_x, hits
-
-    def lookup_many_encoded(self, db: Database,
-                            constraint: AccessConstraint, keys: Sequence
-                            ) -> tuple[list, list[bool]]:
-        """Encoded twin of :meth:`lookup_many`: dictionary-code keys in,
-        per-key ``(column views, length)`` entries out, aligned with
-        ``keys``.
-
-        Cached columns are readonly memoryviews over arrays built once
-        at miss time — warm hits share them by reference, and all
-        bookkeeping (entry sizing included) runs on code columns and
-        plain lengths; no decoded row is ever materialized here.
-        Maintenance replaces an updated entry's arrays wholesale, so
-        views handed to in-flight batches stay frozen.
-        """
-        generation = db.generation(constraint.relation_name)
-        if self._maintainable(constraint):
-            return self._lookup_many_encoded_maintained(db, constraint,
-                                                        keys, generation)
-        # 4-tuple keys: legacy keys are 3-tuples, so a code key can
-        # never alias a value key (the code tuple (3,) IS the value
-        # tuple (3,) under ==).
-        cache_keys = [(constraint, key, generation, 0) for key in keys]
-        cached = self._entries.get_many(cache_keys)
-        entries: list = list(cached)
-        hits = [value is not None for value in cached]
-        miss_positions = [i for i, value in enumerate(cached)
-                          if value is None]
-        self.encoded_hits += len(keys) - len(miss_positions)
-        if miss_positions:
-            fetched = db.fetch_many_encoded(
-                constraint, [keys[i] for i in miss_positions])
-            largest = self.max_entry_rows
-            puts = []
-            for position, (cols, length) in zip(miss_positions, fetched):
-                entry = (tuple(readonly_view(column) for column in cols),
-                         length)
-                entries[position] = entry
-                if length > largest:
-                    largest = length
-                puts.append((cache_keys[position], entry))
-            self.max_entry_rows = largest
-            self._entries.put_many(puts)
-        return entries, hits
-
-    def _lookup_many_encoded_maintained(self, db: Database,
-                                        constraint: AccessConstraint,
-                                        keys: Sequence, generation: int):
-        relation = constraint.relation_name
-        backend = self._backend
-        schema = backend.access_schema if backend is not None else None
-        with self._maintenance_lock:
-            live = self._epochs.get(relation) == generation
-        cache_keys = [(constraint, key, _ENCODED) for key in keys]
-        if live:
-            cached = self._entries.get_many(cache_keys)
-        else:
             cached = [None] * len(cache_keys)
             self._entries.record_misses(len(cache_keys))
         entries: list = list(cached)
         hits = [value is not None for value in cached]
         miss_positions = [i for i, value in enumerate(cached)
                           if value is None]
-        self.encoded_hits += len(keys) - len(miss_positions)
         if miss_positions:
             fetched = db.fetch_many_encoded(
                 constraint, [keys[i] for i in miss_positions])
@@ -407,7 +310,10 @@ class FetchCache:
                     largest = length
                 puts.append((cache_keys[position], entry))
             self.max_entry_rows = largest
-            self._store_maintained(relation, generation, schema, puts)
+            if maintained:
+                self._store_maintained(relation, generation, schema, puts)
+            else:
+                self._entries.put_many(puts)
         return entries, hits
 
     def _store_maintained(self, relation: str, stamp: int, schema,
@@ -491,33 +397,21 @@ class FetchCache:
         entries = self._entries
         touched = 0
         largest = self.max_entry_rows
-        for x_value, row_value, key_code, row_codes in changes.removed:
-            key = (constraint, x_value)
-            rows = entries.get(key, count=False)
-            if rows is not None and row_value in rows:
-                entries.put(key, [r for r in rows if r != row_value])
-                touched += 1
-            ekey = (constraint, key_code, _ENCODED)
-            entry = entries.get(ekey, count=False)
+        for key_code, row_codes in changes.removed:
+            key = (constraint, key_code)
+            entry = entries.get(key, count=False)
             if entry is not None:
                 updated = _encoded_minus(entry, row_codes)
                 if updated is not None:
-                    entries.put(ekey, updated)
+                    entries.put(key, updated)
                     touched += 1
-        for x_value, row_value, key_code, row_codes in changes.added:
-            key = (constraint, x_value)
-            rows = entries.get(key, count=False)
-            if rows is not None and row_value not in rows:
-                entries.put(key, rows + [row_value])
-                touched += 1
-                if len(rows) + 1 > largest:
-                    largest = len(rows) + 1
-            ekey = (constraint, key_code, _ENCODED)
-            entry = entries.get(ekey, count=False)
+        for key_code, row_codes in changes.added:
+            key = (constraint, key_code)
+            entry = entries.get(key, count=False)
             if entry is not None:
                 updated = _encoded_plus(entry, row_codes)
                 if updated is not None:
-                    entries.put(ekey, updated)
+                    entries.put(key, updated)
                     touched += 1
                     if updated[1] > largest:
                         largest = updated[1]
@@ -526,7 +420,7 @@ class FetchCache:
 
     def _purge_relation(self, relation: str) -> int:
         """Drop the relation's maintained entries (callers hold the
-        maintenance lock); generation-keyed families are left to age
+        maintenance lock); generation-keyed entries are left to age
         out as before."""
         def doomed(key) -> bool:
             return (self._is_maintained_key(key)
@@ -585,34 +479,14 @@ class CachingExecutor(Executor):
 
     With ``fetch_cache=None`` it behaves exactly like the base executor.
     Results are identical either way — the cache only ever returns what
-    ``db.fetch`` returned for the same (constraint, X-value) at the same
-    write epoch, maintained forward by the exact per-write deltas.
+    ``db.fetch_many_encoded`` returned for the same (constraint, X-key)
+    at the same write epoch, maintained forward by the exact per-write
+    deltas.
     """
 
     def __init__(self, db: Database, fetch_cache: FetchCache | None = None):
         super().__init__(db)
         self.fetch_cache = fetch_cache
-
-    def _fetch_flat(self, constraint, x_values: Sequence[tuple],
-                    stats: AccessStats) -> list[tuple]:
-        if self.fetch_cache is None:
-            return super()._fetch_flat(constraint, x_values, stats)
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("fetch_flat")
-        rows_per_x, hits = self.fetch_cache.lookup_many(
-            self.db, constraint, x_values)
-        stats.index_lookups += len(x_values)
-        flat: list[tuple] = []
-        for rows, hit in zip(rows_per_x, hits):
-            if hit:
-                stats.fetch_cache_hits += 1
-                stats.tuples_from_cache += len(rows)
-            else:
-                stats.fetch_cache_misses += 1
-                stats.tuples_fetched += len(rows)
-            flat.extend(rows)
-        return flat
 
     def _fetch_flat_encoded(self, constraint, keys: Sequence,
                             stats: AccessStats):

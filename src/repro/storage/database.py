@@ -2,13 +2,13 @@
 
 :class:`Database` presents one instance ``D`` of a relational schema to
 the rest of the system — loading, deletion, the active domain,
-access-schema validation and the (now batched) ``fetch`` primitive —
+access-schema validation and the batched, encoded ``fetch`` primitive —
 while the actual rows and per-constraint indexes live behind the
 :class:`~repro.storage.backend.StorageBackend` protocol.  Pick the
 engine at construction time::
 
     Database(schema)                                   # MemoryBackend
-    Database(schema, backend=ShardedBackend(schema, shards=16))
+    Database(schema, backend=ProcessShardedBackend(schema, workers=4))
 
 Everything above storage goes through this facade, and the facade goes
 through the backend protocol — there is no other road to the rows, so
@@ -227,41 +227,13 @@ class Database:
         result.update(extra)
         return result
 
-    def fetch(self, constraint: AccessConstraint, x_value: Row) -> list[Row]:
-        """Index lookup for one X-value: distinct ``X∪Y`` projections."""
-        return self._backend.fetch_many(constraint, (tuple(x_value),))[0]
-
-    def fetch_many(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[list[Row]]:
-        """Batched index lookups, aligned with ``x_values`` — the only
-        data-access primitive bounded plans use.  Hot callers pass
-        tuples already; anything else is normalized once here."""
-        if x_values and not isinstance(x_values[0], tuple):
-            x_values = [tuple(x) for x in x_values]
-        try:
-            return self._backend.fetch_many(constraint, x_values)
-        except TypeError:  # mixed batch: a non-tuple past position 0
-            return self._backend.fetch_many(
-                constraint, self._normalized_keys(x_values))
-
-    def fetch_flat(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[Row]:
-        """All rows for a batch of X-values in one unordered list —
-        the executor's fast path when nothing needs per-X alignment."""
-        if x_values and not isinstance(x_values[0], tuple):
-            x_values = [tuple(x) for x in x_values]
-        try:
-            return self._backend.fetch_flat(constraint, x_values)
-        except TypeError:  # mixed batch: a non-tuple past position 0
-            return self._backend.fetch_flat(
-                constraint, self._normalized_keys(x_values))
-
     def fetch_many_encoded(self, constraint: AccessConstraint,
                            keys: Sequence) -> list:
-        """Batched *encoded* index lookups: code keys in, per-key
-        ``(code columns, length)`` entries out.  Keys are produced by
-        the columnar executor from this database's own dictionary —
-        no normalization, by construction."""
+        """Batched *encoded* index lookups — the data-access primitive
+        bounded plans use: code keys in, per-key ``(code columns,
+        length)`` entries out.  Keys are produced by the columnar
+        executor from this database's own dictionary — no
+        normalization, by construction."""
         return self._backend.fetch_many_encoded(constraint, keys)
 
     def fetch_flat_encoded(self, constraint: AccessConstraint,
@@ -270,13 +242,49 @@ class Database:
         ``(code columns, total length)`` for a key batch."""
         return self._backend.fetch_flat_encoded(constraint, keys)
 
-    @staticmethod
-    def _normalized_keys(x_values: Sequence[Row]) -> list[Row]:
-        """Per-element tuple coercion, for mixed batches only: the
-        first-element sniff above keeps the hot all-tuple path free of
-        a per-key isinstance scan, and a non-tuple later in the batch
-        surfaces as the backends' unhashable-key TypeError."""
-        return [x if isinstance(x, tuple) else tuple(x) for x in x_values]
+    # -- the decoded view (oracles, tests, diagnostics) ----------------------
+
+    def fetch(self, constraint: AccessConstraint, x_value: Row) -> list[Row]:
+        """Index lookup for one X-value: distinct ``X∪Y`` projections."""
+        return self.fetch_many(constraint, (x_value,))[0]
+
+    def fetch_many(self, constraint: AccessConstraint,
+                   x_values: Sequence[Row]) -> list[list[Row]]:
+        """:meth:`fetch_many_encoded` in the value domain: X-value
+        tuples in, decoded row lists out, aligned with ``x_values``."""
+        keys, positions = self._code_keys(constraint, x_values)
+        entries = self._backend.fetch_many_encoded(constraint, keys)
+        decode = self.dictionary.decode_columns
+        results: list[list[Row]] = [[] for _ in x_values]
+        for position, (cols, length) in zip(positions, entries):
+            results[position] = decode(cols, length)
+        return results
+
+    def fetch_flat(self, constraint: AccessConstraint,
+                   x_values: Sequence[Row]) -> list[Row]:
+        """:meth:`fetch_flat_encoded` in the value domain: every row for
+        a batch of X-values in one unordered list."""
+        keys, _ = self._code_keys(constraint, x_values)
+        cols, length = self._backend.fetch_flat_encoded(constraint, keys)
+        return self.dictionary.decode_columns(cols, length)
+
+    def _code_keys(self, constraint: AccessConstraint,
+                   x_values: Sequence[Row]) -> tuple[list, list[int]]:
+        """X-values as encoded-boundary keys, plus the position each key
+        came from.  A value the dictionary has never seen is held by no
+        row, so its lookup is answered empty without interning it (the
+        backend is still called, so an unindexed constraint raises)."""
+        code_of = self.dictionary.code_of
+        scalar = len(constraint.x) == 1
+        keys: list = []
+        positions: list[int] = []
+        for position, x_value in enumerate(x_values):
+            codes = [code_of(value) for value in x_value]
+            if None in codes:
+                continue
+            keys.append(codes[0] if scalar else tuple(codes))
+            positions.append(position)
+        return keys, positions
 
     def __contains__(self, pair) -> bool:
         relation_name, row = pair

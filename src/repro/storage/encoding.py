@@ -112,17 +112,33 @@ class ValueDictionary:
         except KeyError:
             return tuple(self.encode(value) for value in row)
 
+    def code_of(self, value: Hashable) -> int | None:
+        """The code for ``value`` if it is interned, else None — a
+        read-only probe: a value no row holds has no code, and asking
+        about it must not grow the table.
+
+        >>> d = ValueDictionary()
+        >>> d.encode("x"), d.code_of("x"), d.code_of("y"), len(d)
+        (0, 0, None, 1)
+        """
+        return self._codes.get(value)
+
     def decode(self, code: int) -> Hashable:
         return self._values[code]
+
+    def decode_columns(self, cols: Sequence, length: int) -> list[tuple]:
+        """Decode row-aligned code columns into a list of value tuples,
+        in row order — the decoded form of one fetch result."""
+        if not cols:
+            return [()] * length
+        values = self._values
+        return list(zip(*([values[code] for code in col] for col in cols)))
 
     def decode_rows(self, cols: Sequence, length: int) -> set[tuple]:
         """Decode row-aligned code columns into a set of value tuples —
         the one place the columnar executor rematerializes Python
         values (the final answer)."""
-        if not cols:
-            return {()} if length else set()
-        values = self._values
-        return set(zip(*([values[code] for code in col] for col in cols)))
+        return set(self.decode_columns(cols, length))
 
     def values_from(self, start: int) -> list:
         """The interned values with codes ``start..len-1`` — the *delta*

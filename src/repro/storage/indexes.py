@@ -2,24 +2,24 @@
 
 An access constraint ``R(X -> Y, N)`` promises an index on ``X`` for
 ``Y``: given an ``X``-value ``a``, retrieve ``D_Y(X = a)`` without
-scanning ``R`` (paper, Section 2).  :class:`AccessIndex` is that index:
-a hash map from ``X``-projections to the set of distinct ``Y``-
-projections (plus the combined ``X∪Y`` rows the ``fetch`` plan operator
-returns).
+scanning ``R`` (paper, Section 2).  :class:`AccessIndex` is that index.
 
-When built with a :class:`~repro.storage.encoding.ValueDictionary`
-(every shipped backend does this), the index *additionally* maintains
-an encoded mirror of each group: per ``X``-key, one ``array('q')``
-column per ``X∪Y`` attribute holding dictionary codes, pre-built at
-insert time.  The columnar executor's ``fetch_flat_encoded`` path then
-answers a whole key batch with C-speed array concatenation — no row
-tuples, no per-batch encoding.  Keys into the encoded mirror are bare
-int codes when ``|X| == 1`` (the hot case) and code tuples otherwise.
+It keeps two views of every group.  The *value* view maps each
+``X``-projection to its distinct ``Y``-projections, each refcounted by
+the stored rows witnessing it — what makes deletion exact and what
+cardinality validation counts.  When built with a
+:class:`~repro.storage.encoding.ValueDictionary` (every shipped backend
+does this), the index also keeps the *encoded* view the ``fetch``
+primitive reads: per ``X``-key, one ``array('q')`` column per ``X∪Y``
+attribute holding dictionary codes, pre-built at insert time.  A whole
+key batch is then answered with C-speed array concatenation — no row
+tuples, no per-batch encoding.  Encoded keys are bare int codes when
+``|X| == 1`` (the hot case) and code tuples otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..errors import ConstraintViolation
 from ..schema.access import AccessConstraint
@@ -69,11 +69,11 @@ class _EncodedGroup:
 class AccessIndex:
     """The index for one access constraint over one relation instance.
 
-    ``lookup`` implements the paper's ``fetch`` primitive: for an
-    X-value, return the distinct ``X∪Y`` projections, in deterministic
-    insertion order.  The number of distinct Y-values per X-value is the
-    quantity the cardinality bound constrains; ``max_group_size`` exposes
-    the observed maximum so instances can be validated.
+    The ``lookup_*_encoded`` methods implement the paper's ``fetch``
+    primitive: for an X-key, the distinct ``X∪Y`` projections as code
+    columns.  The number of distinct Y-values per X-value is the
+    quantity the cardinality bound constrains; ``max_group_size``
+    exposes the observed maximum so instances can be validated.
     """
 
     def __init__(self, constraint: AccessConstraint, relation: RelationSchema,
@@ -180,58 +180,6 @@ class AccessIndex:
         if self._encoded is not None:
             self._encoded.clear()
 
-    def lookup(self, x_value: Tuple) -> list[Tuple]:
-        """Distinct ``X∪Y`` projections for one X-value (possibly empty).
-
-        The returned rows concatenate the X-value with each distinct
-        Y-value, matching the ``fetch(X ∈ T, R, Y)`` operator that
-        returns ``D_XY(X = a)``.
-        """
-        group = self._groups.get(tuple(x_value))
-        if group is None:
-            return []
-        return [x_value + y_value for y_value in group]
-
-    def lookup_many(self, x_values: Iterable[Tuple]) -> list[list[Tuple]]:
-        """Batched :meth:`lookup` — the hot path of ``fetch_many``.
-
-        ``x_values`` must already be tuples (callers batch them from
-        columnar zips); skipping per-key normalization and method
-        dispatch is exactly what makes the vectorized boundary pay off.
-        """
-        groups = self._groups
-        results = []
-        for x_value in x_values:
-            group = groups.get(x_value)
-            results.append([x_value + y_value for y_value in group]
-                           if group else [])
-        return results
-
-    def lookup_flat(self, keys: Sequence[Tuple]) -> list[Tuple]:
-        """Concatenated :meth:`lookup_many` without per-key alignment —
-        what executors consume when no cache interposes.  Distinct
-        X-values have disjoint row prefixes, so the concatenation is
-        duplicate-free exactly when each group is."""
-        groups = self._groups
-        out: list[Tuple] = []
-        for key in keys:
-            group = groups.get(key)
-            if group:
-                out.extend([key + y_value for y_value in group])
-        return out
-
-    def lookup_scatter(self, keys: Sequence[Tuple], positions: Sequence[int],
-                       out: list) -> None:
-        """Scatter variant for sharded engines: look up
-        ``keys[p]`` for each ``p`` in ``positions`` and write the rows
-        into ``out[p]`` — no per-shard gather lists, no realignment."""
-        groups = self._groups
-        for position in positions:
-            key = keys[position]
-            group = groups.get(key)
-            out[position] = ([key + y_value for y_value in group]
-                             if group else [])
-
     # -- the encoded fetch surface ----------------------------------------
 
     def lookup_flat_encoded(self, keys: Sequence,
@@ -305,23 +253,6 @@ class AccessIndex:
         """Batched :meth:`lookup_one_encoded`, aligned with ``keys``."""
         return [self.lookup_one_encoded(key, row_proj, dedup)
                 for key in keys]
-
-    def lookup_scatter_encoded(self, keys: Sequence,
-                               positions: Sequence[int], out: list,
-                               row_proj: "tuple[int, ...] | None" = None,
-                               dedup: bool = False) -> None:
-        """Scatter variant of :meth:`lookup_many_encoded` for sharded
-        engines."""
-        for position in positions:
-            out[position] = self.lookup_one_encoded(keys[position],
-                                                    row_proj, dedup)
-
-    def lookup_y(self, x_value: Tuple) -> list[Tuple]:
-        """Distinct Y-projections only."""
-        group = self._groups.get(tuple(x_value))
-        if group is None:
-            return []
-        return list(group)
 
     def group_size(self, x_value: Tuple) -> int:
         group = self._groups.get(tuple(x_value))

@@ -148,9 +148,9 @@ class ProcessShardedBackend(StorageBackend):
     store is in-memory and replicas are unavailable.
     """
 
-    #: Same rationale as :attr:`ShardedBackend.FANOUT_THRESHOLD`, but
-    #: for pipe round trips instead of pool submits: below this many
-    #: keys the coordinator's local index wins outright.
+    #: A fan-out pays one pipe round trip per touched worker; for small
+    #: batches that toll exceeds the lookups themselves, so below this
+    #: many keys the coordinator's local index wins outright.
     FANOUT_THRESHOLD = 32
 
     #: How long a single RPC may take before the peer is declared dead
@@ -454,9 +454,42 @@ class ProcessShardedBackend(StorageBackend):
                                     tuple(index.x_positions),
                                     tuple(index.y_positions)))
             for i in range(self.workers):
-                self._bootstrap_worker(i)
+                try:
+                    self._bootstrap_worker(i)
+                except _PeerFailure as failure:
+                    raise self._attach_failed(failure) from failure
             for i in range(self.replicas):
                 self._bootstrap_replica(i)
+
+    def _attach_failed(self, failure: _PeerFailure) -> StorageError:
+        """Retire the whole worker fleet (reads and writes then stay
+        on the coordinator's store) and explain the failure.
+
+        A worker that *exited with an error* before answering its
+        bootstrap is almost always the spawn start method re-running
+        the caller's main module: without an ``if __name__ ==
+        "__main__":`` guard the worker re-executes the script top to
+        bottom, builds its own backend and dies trying to start
+        processes of its own.  (A worker killed by a signal reports a
+        negative exit code and gets the plain message.)"""
+        process = failure.peer.process if failure.peer is not None else None
+        if process is not None:
+            process.join(timeout=1.0)
+        for i, peer in enumerate(self._worker_peers):
+            if peer is not None:
+                self._retire(peer)
+                self._worker_peers[i] = None
+        if process is not None and (process.exitcode or 0) > 0:
+            return StorageError(
+                f"procshard worker {process.name} exited with code "
+                f"{process.exitcode} during start-up, before answering "
+                f"its bootstrap ({failure}).  Workers are started with "
+                f"the 'spawn' method, which re-imports the main module "
+                f"in every worker: a script that builds a "
+                f"ProcessShardedBackend must do so under "
+                f"'if __name__ == \"__main__\":'")
+        return StorageError(
+            f"procshard worker bootstrap failed: {failure}")
 
     def _bootstrap_worker(self, i: int) -> None:
         """(Re)spawn worker ``i`` and rebuild its shard slice from the
@@ -913,17 +946,6 @@ class ProcessShardedBackend(StorageBackend):
 
     def contains(self, relation_name: str, row: Row) -> bool:
         return self._store.contains(relation_name, row)
-
-    def fetch_many(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[list[Row]]:
-        # Value-space fetches stay local: the RPC surface is the
-        # *encoded* boundary (code keys in, code columns out); legacy
-        # row traffic never crosses a pipe.
-        return self._store.fetch_many(constraint, x_values)
-
-    def fetch_flat(self, constraint: AccessConstraint,
-                   x_values: Sequence[Row]) -> list[Row]:
-        return self._store.fetch_flat(constraint, x_values)
 
     def constraint_groups(self, constraint: AccessConstraint
                           ) -> Iterator[tuple[Row, int]]:

@@ -132,7 +132,7 @@ def relational_social(scale: SocialScale | None = None,
     """The social graph of :func:`social_graph`, encoded relationally
     so the bounded engine (rather than the graph matcher) serves
     Graph-Search traffic.  ``backend_factory`` picks the storage
-    engine, e.g. ``lambda s: ShardedBackend(s, shards=16)``.
+    engine, e.g. ``lambda s: ProcessShardedBackend(s, workers=4)``.
     """
     scale = scale or SocialScale()
     graph = social_graph(scale)

@@ -65,6 +65,26 @@ class TestValueDictionary:
         assert dictionary.decode_rows([], 1) == {()}
         assert dictionary.decode_rows([], 0) == set()
 
+    def test_code_of_probes_without_interning(self):
+        dictionary = ValueDictionary()
+        code = dictionary.encode("0")
+        assert dictionary.code_of("0") == code
+        # 0 and "0" are different values: the probe must not conflate
+        # them, and must not intern what it did not find.
+        assert dictionary.code_of(0) is None
+        assert dictionary.code_of(None) is None
+        assert len(dictionary) == 1
+
+    def test_decode_columns_keeps_row_order_and_duplicates(self):
+        dictionary = ValueDictionary()
+        rows = [("x", 1), ("y", None), ("x", 1)]
+        coded = [dictionary.encode_row(row) for row in rows]
+        cols = [int_column(column) for column in zip(*coded)]
+        assert dictionary.decode_columns(cols, len(rows)) == rows
+        views = [memoryview(column).toreadonly() for column in cols]
+        assert dictionary.decode_columns(views, len(rows)) == rows
+        assert dictionary.decode_columns([], 2) == [(), ()]
+
     @given(values=st.lists(adversarial_values, max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, values):

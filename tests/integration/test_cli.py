@@ -93,19 +93,20 @@ def test_run_falls_back_to_scan(db_dir, capsys):
     assert "5 answer(s)" in out
 
 
-def test_run_sharded_backend_same_answers(db_dir, capsys):
+def test_run_disk_backend_same_accounting(db_dir, tmp_path, capsys):
     assert main(["run", "--db", db_dir, Q0]) == 0
     memory_out = capsys.readouterr().out
     assert "storage: memory" in memory_out
-    assert main(["run", "--db", db_dir, "--backend", "sharded",
-                 "--shards", "4", Q0]) == 0
-    sharded_out = capsys.readouterr().out
-    assert "storage: sharded(shards=4)" in sharded_out
+    assert main(["run", "--db", db_dir, "--backend", "disk",
+                 "--data-dir", str(tmp_path / "durable"), Q0]) == 0
+    disk_out = capsys.readouterr().out
+    assert "storage: disk(" in disk_out
     # Identical answers and identical access accounting on both engines.
-    assert "(34,)" in sharded_out and "(51,)" in sharded_out
-    assert "2 answer(s)" in sharded_out
+    assert "(34,)" in disk_out and "(51,)" in disk_out
+    assert "2 answer(s)" in disk_out
     assert memory_out.split("storage: memory\n")[1].splitlines()[0] == \
-        sharded_out.split("storage: sharded(shards=4)\n")[1].splitlines()[0]
+        disk_out.split("storage: disk(")[1].split("\n", 1)[1] \
+        .splitlines()[0]
 
 
 def test_run_procshard_backend_same_answers(db_dir, capsys):
@@ -139,12 +140,15 @@ def test_run_procshard_replicas_without_data_dir_is_actionable(
     assert "--data-dir" in capsys.readouterr().err
 
 
-def test_run_sharded_shard_threads_flag(db_dir, capsys):
-    assert main(["run", "--db", db_dir, "--backend", "sharded",
-                 "--shards", "4", "--shard-threads", "2", Q0]) == 0
-    out = capsys.readouterr().out
-    assert "storage: sharded(shards=4, workers=2)" in out
-    assert "2 answer(s)" in out
+def test_run_thread_sharded_engine_is_gone(db_dir, capsys):
+    # The thread-sharded engine and its flags were removed; procshard
+    # is the partitioned engine.
+    for argv in (["--backend", "sharded"], ["--shards", "4"],
+                 ["--shard-threads", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--db", db_dir, *argv, Q0])
+        assert exit_info.value.code == 2
+    assert "procshard" in capsys.readouterr().err
 
 
 def test_run_disk_backend_same_answers_and_recovers(db_dir, tmp_path,
@@ -179,15 +183,15 @@ def test_bench_service_disk_backend(db_dir, tmp_path, capsys):
     assert "2 answer(s)" in out
 
 
-def test_batch_sharded_backend(db_dir, tmp_path, capsys):
+def test_batch_procshard_backend(db_dir, tmp_path, capsys):
     requests = tmp_path / "requests.json"
     requests.write_text(json.dumps({
         "requests": [
             {"query": "Q(d) :- Accident(aid, d, t), aid = 'a4'"},
         ],
     }))
-    assert main(["batch", "--db", db_dir, "--backend", "sharded",
-                 str(requests)]) == 0
+    assert main(["batch", "--db", db_dir, "--backend", "procshard",
+                 "--shard-workers", "1", str(requests)]) == 0
     out = capsys.readouterr().out
     assert "1 answer(s) [bounded" in out
 

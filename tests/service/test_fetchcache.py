@@ -25,6 +25,16 @@ def constraint(db):
     return db.access_schema.constraints[0]
 
 
+def _backend(name, schema, tmp_path):
+    """One engine by name; procshard with a single worker and RPC forced
+    on, so every fetch miss crosses the process boundary."""
+    from repro.storage.backend import make_backend
+    if name == "procshard":
+        from repro.storage.procshard import ProcessShardedBackend
+        return ProcessShardedBackend(schema, workers=1, fanout_threshold=0)
+    return make_backend(name, schema, data_dir=tmp_path / "data")
+
+
 def test_lookup_reads_through_and_then_hits(db, constraint):
     cache = FetchCache(capacity=16)
     rows, hit = cache.lookup(db, constraint, (1,))
@@ -89,9 +99,48 @@ def test_lru_bound_holds(db, constraint):
     assert info.evictions == 32
 
 
+def test_sweep_drops_only_stale_generation_keyed_entries(db, constraint):
+    cache = FetchCache(capacity=16)
+    cache.attach_maintenance(db)
+    # A different bound never equals the attached constraint, so its
+    # entries are generation-keyed; the attached one's are maintained.
+    looser = AccessConstraint("R", ("A",), ("B",), 9)
+    cache.lookup(db, constraint, (1,))
+    cache.lookup(db, looser, (1,))
+    assert cache.sweep(db) == 0
+    db.insert("R", (2, 21))
+    assert cache.sweep(db) == 1
+    assert len(cache) == 1
+    rows, hit = cache.lookup(db, constraint, (1,))
+    assert hit and sorted(rows) == [(1, 10), (1, 11)]
+
+
+def test_composite_keys_are_maintained_as_code_tuples():
+    schema = Schema.from_dict({"T": ("A", "B", "C")})
+    access = AccessSchema(schema,
+                          [AccessConstraint("T", ("A", "B"), ("C",), 4)])
+    database = Database(schema, access)
+    database.insert_many("T", [(1, "x", 10), (1, "x", 11), (1, "y", 12)])
+    constraint = access.constraints[0]
+    cache = FetchCache(capacity=16)
+    cache.attach_maintenance(database)
+    rows, hits = cache.lookup_many(database, constraint,
+                                   [(1, "x"), (1, "y"), (2, "x")])
+    assert hits == [False, False, False]
+    assert [sorted(r) for r in rows] == \
+        [[(1, "x", 10), (1, "x", 11)], [(1, "y", 12)], []]
+    database.delete("T", (1, "x", 10))
+    database.insert("T", (2, "x", 13))
+    rows, hits = cache.lookup_many(database, constraint,
+                                   [(1, "x"), (2, "x")])
+    assert hits == [True, True]
+    assert rows == [[(1, "x", 11)], [(2, "x", 13)]]
+    assert cache.maintained_entries == 2
+
+
 class TestEncodedEntries:
-    """The columnar entry family: code keys, readonly column views,
-    no row materialization, and no collisions with legacy entries."""
+    """The entry family: code keys, readonly column views, no row
+    materialization; the value-keyed lookups are decoding views."""
 
     def test_lookup_many_encoded_reads_through_then_hits(
             self, db, constraint):
@@ -111,20 +160,18 @@ class TestEncodedEntries:
         assert entries2[0] is entries[0]
         assert all(isinstance(column, memoryview) and column.readonly
                    for column in entries2[0][0])
-        assert cache.encoded_hits == 1 and cache.legacy_hits == 0
+        assert cache.info().hits == 1
 
-    def test_encoded_and_legacy_families_never_collide(
-            self, db, constraint):
-        # The code for some value can equal an unrelated X-value's
-        # content; distinct key shapes keep the entries apart.
+    def test_value_lookups_share_the_encoded_entries(self, db, constraint):
         cache = FetchCache(capacity=16)
-        code = db.dictionary.encode(1)
-        cache.lookup(db, constraint, (code,))
-        _, hits = cache.lookup_many_encoded(db, constraint, [code])
-        assert hits == [False]  # the legacy entry must not satisfy it
-        _, legacy_hit = cache.lookup(db, constraint, (code,))
-        assert legacy_hit
-        assert cache.legacy_hits == 1 and cache.encoded_hits == 0
+        rows, hit = cache.lookup(db, constraint, (1,))
+        assert not hit and sorted(rows) == [(1, 10), (1, 11)]
+        # The decoded view filled the very entry the executor reads.
+        (entry,), hits = cache.lookup_many_encoded(
+            db, constraint, [db.dictionary.encode(1)])
+        assert hits == [True]
+        assert db.dictionary.decode_rows(*entry) == set(rows)
+        assert len(cache) == 1
 
     def test_writes_invalidate_encoded_entries_via_generation(
             self, db, constraint):
@@ -163,6 +210,36 @@ class TestEncodedEntries:
         assert stats.fetch_cache_hits == 2  # single-key warm + batch hit
         assert stats.tuples_from_cache == 4
         assert stats.tuples_fetched == 3
+
+
+@pytest.mark.parametrize("backend_name", ["memory", "disk", "procshard"])
+def test_decoded_lookups_match_the_facade_on_every_engine(backend_name,
+                                                          tmp_path):
+    """``lookup_many`` decodes the encoded entries the executor reads;
+    on every engine it must return exactly what ``db.fetch_many``
+    returns, hit or miss, before and after a maintained write."""
+    schema = Schema.from_dict({"R": ("A", "B")})
+    access = AccessSchema(schema, [AccessConstraint("R", ("A",), ("B",), 8)])
+    database = Database(schema, access,
+                        backend=_backend(backend_name, schema, tmp_path))
+    try:
+        database.insert_many("R", [(1, 10), (1, 11), (2, 20)])
+        constraint = access.constraints[0]
+        cache = FetchCache(capacity=16)
+        cache.attach_maintenance(database)
+        x_values = [(1,), (2,), (3,)]
+        for expected_hits in ([False] * 3, [True] * 3):
+            rows, hits = cache.lookup_many(database, constraint, x_values)
+            assert hits == expected_hits
+            assert [sorted(r) for r in rows] == \
+                [sorted(r) for r in database.fetch_many(constraint,
+                                                        x_values)]
+        database.insert("R", (2, 21))
+        rows, hits = cache.lookup_many(database, constraint, x_values)
+        assert hits == [True] * 3
+        assert sorted(rows[1]) == [(2, 20), (2, 21)]
+    finally:
+        database.backend.close()
 
 
 def test_caching_executor_matches_plain_executor(db):
@@ -234,18 +311,18 @@ class TestServiceNeverServesStaleRows:
         for outcome in report.outcomes:
             assert outcome.result.answers == {(10,), (11,), (99,)}
 
-    @pytest.mark.parametrize("backend_name", ["memory", "sharded"])
-    def test_deletes_interleaved_with_service_traffic(self, backend_name):
+    @pytest.mark.parametrize("backend_name", ["memory", "disk",
+                                              "procshard"])
+    def test_deletes_interleaved_with_service_traffic(self, backend_name,
+                                                       tmp_path):
         """Writes *and deletes* between requests are always visible on
-        both storage engines — cached fetches never outlive their
+        every storage engine — cached fetches never outlive their
         generation."""
-        from repro.storage.backend import make_backend
         schema = Schema.from_dict({"R": ("A", "B")})
         access = AccessSchema(schema,
                               [AccessConstraint("R", ("A",), ("B",), 8)])
-        database = Database(
-            schema, access,
-            backend=make_backend(backend_name, schema, shards=4))
+        database = Database(schema, access,
+                            backend=_backend(backend_name, schema, tmp_path))
         database.insert_many("R", [(1, 10), (1, 11), (2, 20)])
         service = BoundedQueryService(database)
         service.register_template("t", "Q(y) :- R(x, y), x = $a")
@@ -257,22 +334,23 @@ class TestServiceNeverServesStaleRows:
         database.delete("R", (1, 11))
         assert service.execute_template("t", {"a": 1}).answers == {(12,)}
         assert service.execute_template("t", {"a": 2}).answers == {(20,)}
+        database.backend.close()
 
-    @pytest.mark.parametrize("backend_name", ["memory", "sharded"])
-    def test_concurrent_writer_and_batches_converge(self, backend_name):
+    @pytest.mark.parametrize("backend_name", ["memory", "disk",
+                                              "procshard"])
+    def test_concurrent_writer_and_batches_converge(self, backend_name,
+                                                    tmp_path):
         """A writer racing concurrent service batches: every batch
         answer reflects some prefix-consistent state, and once writes
         stop the service observes the final rows exactly."""
         import threading
 
         from repro.service import BatchRequest
-        from repro.storage.backend import make_backend
         schema = Schema.from_dict({"R": ("A", "B")})
         access = AccessSchema(schema,
                               [AccessConstraint("R", ("A",), ("B",), 256)])
-        database = Database(
-            schema, access,
-            backend=make_backend(backend_name, schema, shards=4))
+        database = Database(schema, access,
+                            backend=_backend(backend_name, schema, tmp_path))
         database.insert("R", (1, 0))
         service = BoundedQueryService(database)
         service.register_template("t", "Q(y) :- R(x, y), x = $a")
@@ -294,3 +372,4 @@ class TestServiceNeverServesStaleRows:
                     for row in database.relation_tuples("R")
                     if row[0] == 1}
         assert service.execute_template("t", {"a": 1}).answers == expected
+        database.backend.close()

@@ -12,6 +12,7 @@ from repro.service import BoundedQueryService, FetchCache
 from repro.service.plancache import AnswerCache, FetchProfile
 from repro.storage.delta import ConstraintDelta, WriteDelta
 from repro.storage.disk import DiskBackend
+from repro.storage.encoding import readonly_view
 
 
 @pytest.fixture
@@ -141,6 +142,15 @@ class TestFillRacingWrite:
     may predate the write); a fill at the current epoch stores and
     later deltas converge it."""
 
+    @staticmethod
+    def _fill(db, constraint, x):
+        """A maintained ``(cache key, entry)`` fill for X-value ``x``,
+        fetched now — what a reader would hand ``_store_maintained``."""
+        code = db.dictionary.encode(x)
+        (cols, length), = db.fetch_many_encoded(constraint, [code])
+        return ((constraint, code),
+                (tuple(readonly_view(column) for column in cols), length))
+
     def test_stale_fill_is_discarded(self, db, by_a):
         cache = FetchCache(capacity=32)
         cache.attach_maintenance(db)
@@ -149,12 +159,11 @@ class TestFillRacingWrite:
         # stamps its fill with the pre-write generation and fetches...
         stamp = db.generation("R")
         schema = db.backend.access_schema
-        stale_rows = db.fetch_many(by_a, [(1,)])[0]
+        stale_fill = self._fill(db, by_a, 1)
         # ...then the writer's insert lands (delta applied, epoch
         # advances past the stamp) before the reader stores.
         db.insert("R", (1, 12))
-        cache._store_maintained("R", stamp, schema,
-                                [((by_a, (1,)), stale_rows)])
+        cache._store_maintained("R", stamp, schema, [stale_fill])
         rows, hit = cache.lookup(db, by_a, (1,))
         assert not hit  # the stale fill must not have stored
         assert sorted(rows) == [(1, 10), (1, 11), (1, 12)]
@@ -167,9 +176,8 @@ class TestFillRacingWrite:
         cache.attach_maintenance(db)
         cache.lookup(db, by_a, (2,))
         stamp = db.generation("R")
-        rows = db.fetch_many(by_a, [(1,)])[0]
         cache._store_maintained("R", stamp, db.backend.access_schema,
-                                [((by_a, (1,)), rows)])
+                                [self._fill(db, by_a, 1)])
         db.insert("R", (1, 12))
         rows, hit = cache.lookup(db, by_a, (1,))
         assert hit and sorted(rows) == [(1, 10), (1, 11), (1, 12)]

@@ -14,8 +14,7 @@ from repro.core import is_boundedly_evaluable
 from repro.engine import Executor
 from repro.query import parse_query
 from repro.service import CachingExecutor, FetchCache
-from repro.storage.backend import (MemoryBackend, ShardedBackend,
-                                   make_backend)
+from repro.storage.backend import MemoryBackend, make_backend
 from repro.storage.disk import DiskBackend
 
 
@@ -37,10 +36,6 @@ def _procshard_backend(schema):
 
 BACKEND_FACTORIES = [
     pytest.param(lambda schema: MemoryBackend(schema), id="memory"),
-    pytest.param(lambda schema: ShardedBackend(schema, shards=4),
-                 id="sharded"),
-    pytest.param(lambda schema: ShardedBackend(schema, shards=4, workers=2),
-                 id="sharded-pool"),
     pytest.param(_disk_backend, id="disk"),
     pytest.param(_procshard_backend, id="procshard"),
 ]
@@ -217,85 +212,146 @@ class TestConstraintResolutionProjection:
         assert result.answers == {("x",)}
 
 
-class TestShardedLayout:
-    def test_rows_partition_across_shards(self, schema, aschema):
-        backend = ShardedBackend(schema, shards=4)
-        db = Database(schema, aschema, backend=backend)
-        rows = [(i, f"b{i}", i) for i in range(40)]
-        db.insert_many("R", rows)
-        shard_sizes = [len(shard) for shard in backend._rows["R"]]
-        assert sum(shard_sizes) == 40
-        assert sum(1 for size in shard_sizes if size) > 1
-        # Every index group lives in exactly one shard, keyed by X.
-        seen = {}
-        for index in backend.indexes_for("R"):
-            for x_value in index.x_values():
-                assert x_value not in seen, "X-key split across shards"
-                seen[x_value] = True
+class TestDecodedFacade:
+    """``Database.fetch``/``fetch_many``/``fetch_flat`` are decoding
+    views over the backend's encoded pair: for every engine and every
+    way a requested constraint can resolve, they must return exactly
+    the decoded encoded results."""
 
-    def test_close_shuts_down_lookup_pool(self, schema, aschema):
-        # fanout_threshold=0 forces the pool path even for this small
-        # batch; the default threshold is exercised separately below.
-        backend = ShardedBackend(schema, shards=4, workers=2,
-                                 fanout_threshold=0)
-        db = Database(schema, aschema, backend=backend)
-        db.insert_many("R", [(i, f"b{i}", i) for i in range(20)])
-        constraint = aschema.constraints[0]
-        db.fetch_many(constraint, [(i,) for i in range(20)])
-        assert backend._pool is not None
-        backend.close()
-        backend.close()  # idempotent
-        assert backend._pool is None
-        # The backend keeps answering (a fresh pool spins up lazily).
-        assert db.fetch(constraint, (1,)) == [(1, "b1", 1)]
+    CASES = [
+        # (attached X, attached Y, requested X, requested Y, X-values)
+        pytest.param(("A",), ("B", "C"), ("A",), ("B", "C"),
+                     [(1,), (2,), (3,)], id="exact"),
+        pytest.param(("A", "B"), ("C",), ("B", "A"), ("C",),
+                     [("b", 1), ("c", 1), ("b", 2)], id="permuted-x"),
+        pytest.param(("A",), ("B", "C"), ("A",), ("B",),
+                     [(1,), (2,), (3,)], id="narrower-y"),
+        pytest.param(("A",), ("B", "C"), ("A",), ("C", "B"),
+                     [(1,), (2,), (3,)], id="reordered-y"),
+        pytest.param((), ("A", "B", "C"), (), ("A", "B", "C"),
+                     [()], id="empty-x"),
+    ]
+    ROWS = [(1, "b", 10), (1, "b", 11), (1, "c", 12), (2, "b", 13),
+            (3, "c", 14)]
 
-    def test_invalid_parameters_rejected(self, schema):
-        with pytest.raises(StorageError, match="shard count"):
-            ShardedBackend(schema, shards=0)
-        with pytest.raises(StorageError, match="worker count"):
-            ShardedBackend(schema, workers=-1)
+    @staticmethod
+    def _code_key(db, constraint, x_value):
+        codes = tuple(db.dictionary.encode(value) for value in x_value)
+        return codes[0] if len(constraint.x) == 1 else codes
 
-    def test_small_batches_skip_the_pool(self, schema, aschema):
-        """Below ``fanout_threshold`` keys per touched shard, lookups
-        run sequentially: no pool is ever created, so tiny batches pay
-        zero submit/synchronization overhead."""
-        backend = ShardedBackend(schema, shards=4, workers=2)
-        db = Database(schema, aschema, backend=backend)
-        db.insert_many("R", [(i, f"b{i}", i) for i in range(40)])
-        constraint = aschema.constraints[0]
-        small = [(i,) for i in range(8)]
-        assert db.fetch_many(constraint, small) == \
-            [[(i, f"b{i}", i)] for i in range(8)]
-        db.fetch_flat(constraint, small)
-        backend.fetch_flat_encoded(
-            constraint, [backend.dictionary.encode(i) for i in range(8)])
-        assert backend._pool is None
+    @pytest.mark.parametrize("factory", BACKEND_FACTORIES)
+    @pytest.mark.parametrize("attached_x, attached_y, x, y, x_values",
+                             CASES)
+    def test_facade_equals_decoded_encoded(self, factory, schema,
+                                           attached_x, attached_y, x, y,
+                                           x_values):
+        aschema = AccessSchema(schema, [
+            AccessConstraint("R", attached_x, attached_y, 8)])
+        db = make_db(factory, schema, aschema)
+        try:
+            db.insert_many("R", self.ROWS)
+            requested = AccessConstraint("R", x, y, 8)
+            keys = [self._code_key(db, requested, x_value)
+                    for x_value in x_values]
+            decode = db.dictionary.decode_rows
+            encoded = [decode(cols, length) for cols, length
+                       in db.fetch_many_encoded(requested, keys)]
+            assert [set(rows) for rows
+                    in db.fetch_many(requested, x_values)] == encoded
+            assert [set(db.fetch(requested, x_value))
+                    for x_value in x_values] == encoded
+            flat = db.fetch_flat(requested, x_values)
+            assert len(flat) == sum(len(rows) for rows in encoded)
+            assert set(flat) == decode(
+                *db.fetch_flat_encoded(requested, keys))
+            if y == ("B",):
+                # Projection collapses (1, b, 10) and (1, b, 11).
+                assert sorted(db.fetch(requested, (1,))) == \
+                    [(1, "b"), (1, "c")]
+        finally:
+            db.backend.close()
 
-    def test_large_batches_use_the_pool(self, schema, aschema):
-        backend = ShardedBackend(schema, shards=2, workers=2)
-        db = Database(schema, aschema, backend=backend)
-        count = backend.fanout_threshold * 2 + 8  # over both shards
-        db.insert_many("R", [(i, f"b{i}", i) for i in range(count)])
-        constraint = aschema.constraints[0]
-        rows = db.fetch_many(constraint, [(i,) for i in range(count)])
-        assert rows == [[(i, f"b{i}", i)] for i in range(count)]
-        assert backend._pool is not None
-        backend.close()
+    @pytest.mark.parametrize("factory", BACKEND_FACTORIES)
+    def test_unknown_x_values_answer_empty_without_interning(
+            self, factory, schema, aschema):
+        db = make_db(factory, schema, aschema)
+        try:
+            db.insert_many("R", self.ROWS)
+            constraint = aschema.constraints[0]
+            size = len(db.dictionary)
+            assert db.fetch(constraint, ("never-stored",)) == []
+            assert db.fetch_many(constraint, [(1,), ("nope",)])[1] == []
+            assert db.fetch_flat(constraint, [("nope",), (2,)]) == \
+                [(2, "b", 13)]
+            assert len(db.dictionary) == size
+        finally:
+            db.backend.close()
 
-    def test_fanout_threshold_is_configurable(self, schema):
-        assert ShardedBackend(schema, workers=2).fanout_threshold == \
-            ShardedBackend.FANOUT_THRESHOLD
-        assert ShardedBackend(
-            schema, workers=2, fanout_threshold=7).fanout_threshold == 7
-        # Negative thresholds clamp to "always fan out".
-        assert ShardedBackend(
-            schema, workers=2, fanout_threshold=-3).fanout_threshold == 0
 
+@pytest.mark.parametrize("factory", BACKEND_FACTORIES)
+class TestWriteDeltas:
+    """Write deltas carry codes only: each change is ``(X-key,
+    X∪Y codes)`` in the encoded boundary's key convention, emitted
+    exactly when a distinct projection appears or disappears."""
+
+    def _observed(self, factory, schema, constraint):
+        db = make_db(factory, schema, AccessSchema(schema, [constraint]))
+        deltas = []
+        db.backend.add_write_listener(deltas.append)
+        return db, deltas
+
+    def test_scalar_key_changes_are_codes(self, factory, schema):
+        constraint = AccessConstraint("R", ("A",), ("C",), 8)
+        db, deltas = self._observed(factory, schema, constraint)
+        try:
+            db.insert("R", (1, "b", 10))
+            code = db.dictionary.code_of
+            (delta,) = deltas
+            changes = delta.constraints[constraint]
+            assert changes.added == [(code(1), (code(1), code(10)))]
+            assert changes.removed == []
+        finally:
+            db.backend.close()
+
+    def test_composite_key_changes_use_code_tuples(self, factory, schema):
+        constraint = AccessConstraint("R", ("A", "B"), ("C",), 8)
+        db, deltas = self._observed(factory, schema, constraint)
+        try:
+            db.insert("R", (1, "b", 10))
+            db.delete("R", (1, "b", 10))
+            code = db.dictionary.code_of
+            key = (code(1), code("b"))
+            row_codes = (code(1), code("b"), code(10))
+            assert deltas[0].constraints[constraint].added == \
+                [(key, row_codes)]
+            assert deltas[1].constraints[constraint].removed == \
+                [(key, row_codes)]
+        finally:
+            db.backend.close()
+
+    def test_only_the_last_witness_removes_a_projection(self, factory,
+                                                        schema):
+        constraint = AccessConstraint("R", ("A",), ("B",), 8)
+        db, deltas = self._observed(factory, schema, constraint)
+        try:
+            db.insert_many("R", [(1, "b", 10), (1, "b", 11)])
+            db.delete("R", (1, "b", 10))   # a witness remains
+            db.delete("R", (1, "b", 11))   # the projection goes
+            code = db.dictionary.code_of
+            change = (code(1), (code(1), code("b")))
+            # The middle write changed no projection: its delta holds
+            # no entry for the constraint at all.
+            assert [constraint in d.constraints for d in deltas] == \
+                [True, False, True]
+            assert deltas[0].constraints[constraint].added == [change]
+            assert deltas[2].constraints[constraint].removed == [change]
+        finally:
+            db.backend.close()
+
+
+class TestBackendFactoryAndFacade:
     def test_make_backend_factory(self, schema, tmp_path):
         assert isinstance(make_backend("memory", schema), MemoryBackend)
-        sharded = make_backend("sharded", schema, shards=3, workers=1)
-        assert isinstance(sharded, ShardedBackend)
-        assert sharded.shards == 3 and sharded.workers == 1
         disk = make_backend("disk", schema, data_dir=tmp_path / "d")
         assert isinstance(disk, DiskBackend)
         disk.close()
@@ -312,18 +368,32 @@ class TestShardedLayout:
             ProcessShardedBackend(schema, workers=0)
         with pytest.raises(StorageError, match="unknown storage backend"):
             make_backend("paper-tape", schema)
+        with pytest.raises(StorageError, match="unknown storage backend"):
+            make_backend("sharded", schema)
+
+    def test_procshard_fanout_threshold_is_configurable(self, schema):
+        # Construction alone spawns nothing: workers start on attach.
+        from repro.storage.procshard import ProcessShardedBackend
+        assert ProcessShardedBackend(schema).fanout_threshold == \
+            ProcessShardedBackend.FANOUT_THRESHOLD
+        assert ProcessShardedBackend(
+            schema, fanout_threshold=7).fanout_threshold == 7
+        # Negative thresholds clamp to "always fan out".
+        assert ProcessShardedBackend(
+            schema, fanout_threshold=-3).fanout_threshold == 0
 
     def test_with_backend_rehomes_rows_and_schema(self, schema, aschema):
         db = Database(schema, aschema)
         db.insert_many("R", [(i, f"b{i}", i) for i in range(10)])
-        clone = db.with_backend(ShardedBackend(schema, shards=4))
+        clone = db.with_backend(_disk_backend(schema))
         assert sorted(clone.relation_tuples("R")) == \
             sorted(db.relation_tuples("R"))
         assert clone.access_schema is db.access_schema
         constraint = aschema.constraints[0]
         assert sorted(clone.fetch(constraint, (3,))) == \
             sorted(db.fetch(constraint, (3,)))
-        assert clone.backend.describe().startswith("sharded")
+        assert clone.backend.describe().startswith("disk")
+        clone.backend.close()
 
     def test_resolution_memo_is_bounded(self, schema, aschema):
         backend = MemoryBackend(schema)

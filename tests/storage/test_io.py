@@ -79,17 +79,18 @@ class TestCSVRoundTrip:
         assert kinds == {"ConstantCardinality", "LogCardinality"}
 
     def test_load_onto_chosen_backend(self, db, tmp_path):
-        from repro.storage.backend import ShardedBackend
+        from repro.storage.disk import disk_backend_factory
         save_database(db, tmp_path / "dump")
         restored = load_database(
             tmp_path / "dump",
-            backend_factory=lambda schema: ShardedBackend(schema, shards=4))
-        assert restored.backend.describe() == "sharded(shards=4)"
+            backend_factory=disk_backend_factory(tmp_path / "durable"))
+        assert restored.backend.describe().startswith("disk(")
         assert sorted(restored.relation_tuples("R")) == \
             sorted(db.relation_tuples("R"))
         constraint = restored.access_schema.constraints[0]
         assert sorted(restored.fetch(constraint, (1,))) == \
             [(1, "x"), (1, "z")]
+        restored.backend.close()
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(StorageError, match="no such database directory"):

@@ -520,3 +520,60 @@ class TestReplicatedBackend:
         assert not failures, failures[:3]
         assert backend.counters()["replica_reads_total"] > 0
         backend.close()
+
+
+UNGUARDED_SCRIPT = '''\
+import json
+import multiprocessing
+
+from repro import AccessConstraint, AccessSchema, Database, Schema
+from repro.errors import StorageError
+from repro.storage.procshard import ProcessShardedBackend
+
+# No `if __name__ == "__main__":` guard: every spawned worker re-runs
+# this module top to bottom.
+schema = Schema.from_dict({"R": ("A", "B")})
+access = AccessSchema(schema, [AccessConstraint("R", ("A",), ("B",), 4)])
+db = Database(schema, backend=ProcessShardedBackend(schema, workers=1))
+db.insert("R", (1, 2))
+try:
+    db.attach_access_schema(access)
+    error = None
+except StorageError as caught:
+    error = str(caught)
+print(json.dumps({
+    "error": error,
+    "live_children": [p.pid for p in multiprocessing.active_children()],
+    "rows": db.fetch(access.constraints[0], (1,)),
+}))
+'''
+
+
+def test_unguarded_script_gets_an_actionable_bootstrap_error(tmp_path):
+    """A script without a ``__main__`` guard kills its workers
+    at start-up (spawn re-imports it); the coordinator must say so in
+    a StorageError, leave no child process behind and keep serving
+    reads from its own store."""
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+    script = tmp_path / "unguarded.py"
+    script.write_text(UNGUARDED_SCRIPT)
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    completed = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+    assert completed.returncode == 0, completed.stderr
+    outcome = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert outcome["error"] is not None
+    assert "spawn" in outcome["error"]
+    assert "if __name__ == \"__main__\":" in outcome["error"]
+    assert outcome["live_children"] == []
+    assert outcome["rows"] == [[1, 2]]

@@ -106,6 +106,33 @@ class TestWorkerChaos:
         assert backend.gauges()["workers_alive"] == 2
         backend.close()
 
+    def test_worker_killed_during_attach_is_a_storage_error(
+            self, schema, aschema):
+        """A worker lost mid-bootstrap surfaces as a StorageError (never
+        the internal peer failure); the fleet is retired and the
+        coordinator's own store keeps answering."""
+        backend = ProcessShardedBackend(schema, workers=2,
+                                        fanout_threshold=0)
+        backend.insert_rows("R", ROWS)
+        plan = FaultPlan([Fault("rpc_send", at=1, kind="kill_peer")])
+        install_fault_plan(plan)
+        try:
+            with pytest.raises(StorageError,
+                               match="bootstrap failed") as error:
+                backend.attach_access_schema(aschema)
+        finally:
+            clear_fault_plan()
+        # Killed by a signal, not a crashing re-import: no spawn hint.
+        assert "__main__" not in str(error.value)
+        assert backend.gauges()["workers_alive"] == 0
+        constraint = aschema.constraints[0]
+        keys = keys_for(backend)
+        assert norm_flat(backend.fetch_flat_encoded(constraint, keys)) \
+            == norm_flat(oracle(schema, aschema).fetch_flat_encoded(
+                constraint, keys))
+        assert backend.counters()["local_reads_total"] == 1
+        backend.close()
+
     def test_dropped_reply_counts_a_timeout_and_still_answers(
             self, schema, aschema):
         backend = procshard(schema, aschema)
